@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -42,7 +42,7 @@ from .packing import (
     GREEDY_SOLVER,
     FeasibilityFamily,
     Solver,
-    agent_forcing_gap,
+    forcing_gap_scan,
     solve_exact,
 )
 from .valuation import (
@@ -56,6 +56,8 @@ from .valuation import (
     random_subadditive,
 )
 from .verify import (
+    MUTATIONS,
+    CrosscheckReport,
     PreconditionFailed,
     characterization_crosscheck,
     check_bf,
@@ -69,6 +71,7 @@ from .verify import (
     expected_ratio_over_specs,
     make_mutant,
     outcome_table,
+    value_ratio,
     worst_case_ratio,
 )
 
@@ -81,7 +84,18 @@ EXIT_IO = 5
 
 SOLVERS = {"exact": EXACT_SOLVER, "dp": DP_SOLVER, "greedy": GREEDY_SOLVER}
 
-PROPERTY_NAMES = ("ir", "np", "bf", "bnom", "wnom", "gt", "ws", "rgt", "crosscheck")
+PROPERTIES = {
+    "ir": check_ir,
+    "np": check_np,
+    "bf": check_bf,
+    "bnom": check_bnom_direct,
+    "wnom": check_wnom_direct,
+    "gt": check_threshold_gt,
+    "ws": check_threshold_ws,
+    "rgt": check_restricted_gt_payments,
+    "crosscheck": characterization_crosscheck,
+}
+PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 class ParseError(Exception):
@@ -108,7 +122,16 @@ def _parse_subset(key: str, n: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def _parse_int(raw: Any, field: str) -> int:
+    # bool is an int subclass, and int() would truncate a float: neither is exact input.
+    if type(raw) is not int:
+        raise ParseError(f"{field} must be a JSON integer, got {raw!r}")
+    return raw
+
+
 def _parse_rational(raw: Any) -> Fraction:
+    if type(raw) is not int and not isinstance(raw, str):
+        raise ParseError(f"bad rational {raw!r}: use an integer or a \"p/q\" string")
     try:
         return Fraction(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -118,10 +141,10 @@ def _parse_rational(raw: Any) -> Fraction:
 def parse_instance_doc(doc: dict) -> tuple[Instance, FeasibilityFamily | None]:
     """Build an instance (and optional feasibility family) from a JSON document."""
     try:
-        n = int(doc["n"])
-        k = int(doc["budget_ticks"])
+        n = _parse_int(doc["n"], "n")
+        k = _parse_int(doc["budget_ticks"], "budget_ticks")
         val_doc = doc["valuation"]
-        costs = tuple(int(c) for c in doc["costs_ticks"])
+        costs = tuple(_parse_int(c, "costs_ticks") for c in doc["costs_ticks"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
 
@@ -228,13 +251,16 @@ def _build_mechanism(args, instance: Instance, family: FeasibilityFamily | None)
         return mech_golden()
     if name == "mr":
         grid = CostGrid(instance.budget)
-        if args.ell is not None:
-            spec = make_ticket_spec(
-                instance.n, grid, mode="finite_family", ell=args.ell,
-                index=args.spec_index or 0,
-            )
-        else:
-            spec = make_ticket_spec(instance.n, grid, mode="continuous_draw", seed=args.seed)
+        try:
+            if args.ell is not None:
+                spec = make_ticket_spec(
+                    instance.n, grid, mode="finite_family", ell=args.ell,
+                    index=args.spec_index or 0,
+                )
+            else:
+                spec = make_ticket_spec(instance.n, grid, mode="continuous_draw", seed=args.seed)
+        except ValueError as exc:  # fewer than two agents, --ell < 1 or --spec-index out of range
+            raise ParseError(str(exc)) from exc
         return mech_mr(spec, solver)
     raise Incompatible(f"unknown mechanism {name!r}")
 
@@ -253,11 +279,7 @@ def cmd_run(args) -> int:
     use_family = family if args.mechanism == "moww-constrained" else None
     value = instance.valuation.value(out.selected())
     best = solve_exact(instance, use_family).value
-    if value == 0:
-        ratio: Fraction | float = Fraction(1) if best == 0 else math.inf
-    else:
-        ratio = best / value
-    ratio_str, ratio_dec = _ratio_strings(ratio)
+    ratio_str, ratio_dec = _ratio_strings(value_ratio(best, value))
     report = {
         "mechanism": mech.name,
         "allocation": list(out.allocation),
@@ -281,63 +303,36 @@ def _random_oracle(cls: str, n: int, rng: random.Random) -> ValuationOracle:
 
 
 def _verify_one(
-    mech: Mechanism, oracle: ValuationOracle, grid: CostGrid, n: int,
-    props: Sequence[str], jobs: int,
+    mech: Mechanism, oracle: ValuationOracle, grid: CostGrid, n: int, props: Sequence[str]
 ) -> tuple[list[dict], bool]:
-    table = outcome_table(mech, oracle, grid, n, jobs=jobs)
+    table = outcome_table(mech, oracle, grid, n)
     reports: list[dict] = []
     all_hold = True
-    simple = {
-        "ir": check_ir,
-        "np": check_np,
-        "bf": check_bf,
-        "bnom": check_bnom_direct,
-        "wnom": check_wnom_direct,
-        "rgt": check_restricted_gt_payments,
-    }
     for prop in props:
-        if prop in simple:
-            rep = simple[prop](mech, oracle, grid, n, table)
+        try:
+            rep = PROPERTIES[prop](mech, oracle, grid, n, table)
+        except PreconditionFailed as exc:
+            reports.append({"property": prop, "skipped": exc.prop})
+            continue
+        if isinstance(rep, CrosscheckReport):
             entry: dict = {
                 "property": prop,
-                "holds": rep.holds,
-                "profiles_scanned": rep.profiles_scanned,
+                "holds": rep.all_agree,
+                "lines": [dataclasses.asdict(line) for line in rep.lines],
+                "skipped": list(rep.skipped),
             }
-            if rep.witness is not None:
-                entry["witness"] = {
-                    "agent": rep.witness.agent,
-                    "true_cost": rep.witness.true_cost,
-                    "declared": rep.witness.declared,
-                    "profile": list(rep.witness.profile),
-                }
-            all_hold &= rep.holds
-        elif prop in ("gt", "ws"):
-            fn = check_threshold_gt if prop == "gt" else check_threshold_ws
-            rep, cert = fn(mech, oracle, grid, n, table)
-            entry = {"property": f"threshold_{prop}", "holds": rep.holds}
+        elif isinstance(rep, tuple):  # a threshold report and its certificate
+            rep, cert = rep
+            entry = {"property": rep.prop, "holds": rep.holds}
             if cert is not None:
                 entry["thresholds"] = list(cert.thresholds)
                 entry["boundary"] = list(cert.boundary)
-            all_hold &= rep.holds
-        elif prop == "crosscheck":
-            try:
-                rep = characterization_crosscheck(mech, oracle, grid, n, table)
-            except PreconditionFailed as exc:
-                entry = {"property": "crosscheck", "skipped": exc.prop}
-            else:
-                entry = {
-                    "property": "crosscheck",
-                    "holds": rep.all_agree,
-                    "lines": [
-                        {"name": line.name, "direct": line.direct, "structural": line.structural}
-                        for line in rep.lines
-                    ],
-                    "skipped": list(rep.skipped),
-                }
-                all_hold &= rep.all_agree
         else:
-            raise ParseError(f"unknown property {prop!r}")
+            entry = {"property": prop, "holds": rep.holds, "profiles_scanned": rep.profiles_scanned}
+            if rep.witness is not None:
+                entry["witness"] = dataclasses.asdict(rep.witness)
         reports.append(entry)
+        all_hold &= entry["holds"]
     return reports, all_hold
 
 
@@ -346,11 +341,12 @@ def cmd_verify(args) -> int:
     for p in props:
         if p not in PROPERTY_NAMES:
             raise ParseError(f"unknown property {p!r} (known: {', '.join(PROPERTY_NAMES)})")
-    jobs = args.jobs
 
     scenarios: list[tuple[ValuationOracle, CostGrid, int, FeasibilityFamily | None]] = []
     if args.random is not None:
         rand_n, rand_k, count, seed = args.random
+        if rand_n < 1 or rand_k < 1:
+            raise ParseError("--random needs N >= 1 agents and K >= 1 grid ticks")
         rng = random.Random(seed)
         for _ in range(count):
             scenarios.append(
@@ -368,8 +364,11 @@ def cmd_verify(args) -> int:
         stub = Instance(n, oracle, grid.budget, (0,) * n)
         mech = _build_mechanism(args, stub, family)
         if args.mutate is not None:
-            mech = make_mutant(mech, args.mutate)
-        reports, ok = _verify_one(mech, oracle, grid, n, props, jobs)
+            try:
+                mech = make_mutant(mech, args.mutate)
+            except ValueError as exc:  # a structural mutation of a mechanism other than ww
+                raise Incompatible(str(exc)) from exc
+        reports, ok = _verify_one(mech, oracle, grid, n, props)
         out_reports.append({"mechanism": mech.name, "n": n, "k": grid.k, "reports": reports})
         overall &= ok
     print(json.dumps({"all_hold": overall, "scenarios": out_reports}, indent=2))
@@ -404,6 +403,10 @@ def _respects(ratio: Fraction | float, bound: Fraction | None, against_phi: bool
 
 def cmd_table(args) -> int:
     mech_names = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
+    if not mech_names:
+        raise ParseError("--mechanisms names no mechanism")
+    if min(args.n, args.k, args.trials, args.profiles) < 1:
+        raise ParseError("--n, --k, --trials and --profiles must be at least 1")
     rng = random.Random(args.seed)
     grid = CostGrid(args.k)
     rows = []
@@ -417,7 +420,10 @@ def cmd_table(args) -> int:
             if mech_name == "mr":
                 if args.ell is None:
                     raise ParseError("mr rows need --ell")
-                specs = make_ticket_family(args.n, args.k, args.ell)
+                try:
+                    specs = make_ticket_family(args.n, args.k, args.ell)
+                except ValueError as exc:  # --n < 2 or --ell < 1
+                    raise ParseError(str(exc)) from exc
                 profiles = [
                     tuple(rng.randrange(args.k + 1) for _ in range(args.n))
                     for _ in range(args.profiles)
@@ -431,7 +437,7 @@ def cmd_table(args) -> int:
                     "ww": mech_willy_wonka,
                     "moww": mech_moww,
                 }.get(mech_name, mech_golden)()
-                trial_worst, _ = worst_case_ratio(mech, oracle, grid, args.n, jobs=args.jobs)
+                trial_worst, _ = worst_case_ratio(mech, oracle, grid, args.n)
             ratios.append(trial_worst)
             if trial_worst > worst:
                 worst = trial_worst
@@ -476,36 +482,17 @@ def cmd_table(args) -> int:
 def cmd_gap(args) -> int:
     instance, family = load_instance_file(args.instance)
     if family is None:
-        delta: Fraction | float = Fraction(1)
+        delta, witness = Fraction(1), None
     else:
-        delta = agent_forcing_gap(instance.valuation, family, instance.n)
+        delta, witness = forcing_gap_scan(instance.valuation, family, instance.n)
     if delta == math.inf:
         print("+inf")
         return EXIT_OK
-    frac = Fraction(delta)
-    print(f"{frac.numerator}/{frac.denominator}")
-    if family is not None and frac > 1:
-        witness = _gap_witness(instance, family, frac)
-        if witness is not None:
-            subset, agent = witness
-            print(f"attained forcing agent {agent} into S={{{_subset_key(sorted(subset))}}}")
+    print(f"{delta.numerator}/{delta.denominator}")
+    if witness is not None:
+        subset, agent = witness
+        print(f"attained forcing agent {agent} into S={{{_subset_key(subset)}}}")
     return EXIT_OK
-
-
-def _gap_witness(instance: Instance, family: FeasibilityFamily, delta: Fraction):
-    from .packing import _best_subset  # scan mirror of agent_forcing_gap
-
-    structural = Instance(instance.n, instance.valuation, 0, (0,) * instance.n)
-    for mask in range(1, 2**instance.n):
-        universe = frozenset(i for i in range(instance.n) if mask >> i & 1)
-        base = _best_subset(structural, family, universe)
-        if base is None or base.value == 0:
-            continue
-        for i in sorted(universe):
-            forced = _best_subset(structural, family, universe, include=i)
-            if forced is not None and forced.value > 0 and base.value / forced.value == delta:
-                return universe, i
-    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="budgetmech",
         description="Budget-feasible procurement mechanisms and their grid verification.",
     )
-    default_jobs = int(os.environ.get("BUDGETMECH_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one mechanism on an instance file")
@@ -534,12 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mechanism", required=True,
                      choices=["ww", "moww", "moww-constrained", "golden", "mr"])
     ver.add_argument("--solver", default="exact", choices=sorted(SOLVERS))
-    ver.add_argument("--mutate", default=None)
+    ver.add_argument("--mutate", default=None, choices=MUTATIONS)
     ver.add_argument("--properties", default="ir,np,bf,bnom,wnom")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--ell", type=int, default=None)
     ver.add_argument("--spec-index", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=default_jobs)
     ver.set_defaults(fn=cmd_verify)
 
     tab = sub.add_parser("table", help="worst/mean approximation ratios as CSV")
@@ -553,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--ell", type=int, default=None)
     tab.add_argument("--profiles", type=int, default=100)
     tab.add_argument("--out", default="-")
-    tab.add_argument("--jobs", type=int, default=default_jobs)
     tab.set_defaults(fn=cmd_table)
 
     gap = sub.add_parser("gap", help="agent-forcing gap of an instance's feasibility family")

@@ -42,6 +42,10 @@ from .valuation import singleton_order
 logger = logging.getLogger(__name__)
 
 W1_ENUM_CAP = 6561  # opponent-profile budget for the threshold search: (K+1)**(n-1)
+# Entries kept by the compute_w1 and make_ticket_family caches.  A grid scan
+# reuses one entry per (valuation, budget) or (n, k, ell); the bound keeps a
+# long run over many valuations from growing without limit.
+CACHE_MAXSIZE = 64
 
 _TICKET_SHUFFLE_SEED = 0x7901D
 
@@ -280,7 +284,7 @@ def x1_select(
     return star
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def compute_w1(valuation: SetValuation, budget: Ticks, n: int) -> Ticks:
     """Largest grid declaration that keeps agent 0 selected against every opponent profile.
 
@@ -370,7 +374,7 @@ def _gt_profiles_coincide(
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def make_ticket_family(n: int, k: int, ell: int) -> tuple[TicketSpec, ...]:
     """Deterministically build ``ell`` ticket specs with all profiles pairwise distinct.
 

@@ -331,23 +331,22 @@ def _structural_instance(valuation: SetValuation, n: int) -> Instance:
     return Instance(n, valuation, 0, (0,) * n)
 
 
-def agent_forcing_gap(
-    valuation: SetValuation,
-    family: FeasibilityFamily | None,
-    n: int,
-) -> Fraction | float:
-    """Worst multiplicative loss from forcing one agent into the family optimum.
+def forcing_gap_scan(
+    valuation: SetValuation, family: FeasibilityFamily | None, n: int
+) -> tuple[Fraction | float, tuple[frozenset[int], int] | None]:
+    """Worst multiplicative loss from forcing one agent into the family optimum,
+    with the first (universe S, agent) in scan order that attains it.
 
     Computed cost-free over every subset universe S and every agent in S;
     returns ``math.inf`` when forcing some agent makes a positive optimum
-    entirely infeasible (or worthless).
+    entirely infeasible (or worthless), and no witness when the gap is 1.
     """
     if n > GAP_AGENT_CAP:
         raise GuardExceeded(f"forcing-gap enumeration capped at {GAP_AGENT_CAP} agents, got {n}")
     if family is None:
-        return Fraction(1)  # monotone oracles lose nothing when the family is unrestricted
+        return Fraction(1), None  # monotone oracles lose nothing when the family is unrestricted
     inst = _structural_instance(valuation, n)
-    gap = Fraction(1)
+    gap, witness = Fraction(1), None
     for mask in range(1, 2**n):
         universe = frozenset(i for i in range(n) if mask >> i & 1)
         base = _best_subset(inst, family, universe)
@@ -356,8 +355,15 @@ def agent_forcing_gap(
         for i in sorted(universe):
             forced = _best_subset(inst, family, universe, include=i)
             if forced is None or forced.value == 0:
-                return math.inf
+                return math.inf, (universe, i)
             ratio = base.value / forced.value
             if ratio > gap:
-                gap = ratio
-    return gap
+                gap, witness = ratio, (universe, i)
+    return gap, witness
+
+
+def agent_forcing_gap(
+    valuation: SetValuation, family: FeasibilityFamily | None, n: int
+) -> Fraction | float:
+    """The gap of ``forcing_gap_scan`` alone."""
+    return forcing_gap_scan(valuation, family, n)[0]

@@ -9,10 +9,9 @@ each checker a negative control.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, NamedTuple
 
 from .domain import (
     CostGrid,
@@ -102,95 +101,70 @@ def outcome_table(
     valuation: SetValuation,
     grid: CostGrid,
     n: int,
-    jobs: int = 1,
 ) -> dict[tuple[Ticks, ...], Outcome]:
     """Evaluate the mechanism on every grid profile once, in scan order."""
     count = grid.profile_count(n)
     if count > TABLE_PROFILE_CAP:
         raise GuardExceeded(f"grid scan needs {count} profiles, cap is {TABLE_PROFILE_CAP}")
-    profiles = list(enumerate_profiles(grid, n))
     budget = grid.budget
-    if jobs <= 1:
-        return {c: mech(Instance(n, valuation, budget, c)) for c in profiles}
-    size = (len(profiles) + jobs - 1) // jobs
-    chunks = [profiles[i : i + size] for i in range(0, len(profiles), size)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(
-            lambda chunk: [mech(Instance(n, valuation, budget, c)) for c in chunk], chunks
-        )
-    table: dict[tuple[Ticks, ...], Outcome] = {}
-    for chunk, outs in zip(chunks, results):
-        table.update(zip(chunk, outs))
-    return table
+    return {c: mech(Instance(n, valuation, budget, c)) for c in enumerate_profiles(grid, n)}
 
 
-@dataclass
+@dataclass(slots=True)
 class _PaymentStats:
-    """Payment extremes per (agent, declared cost), split by selection status.
+    """Payment extremes of one (agent, declared cost, allocation) cell, each with
+    the first profile in scan order that attains it."""
 
-    ``None`` marks an empty branch (for example, never selected at that
-    declaration).  Arg profiles keep the first attaining profile in scan order.
-    """
-
-    sel_max: list[list[Ticks | None]]
-    sel_min: list[list[Ticks | None]]
-    rej_max: list[list[Ticks | None]]
-    rej_min: list[list[Ticks | None]]
-    sel_max_arg: list[list[tuple[Ticks, ...] | None]]
-    sel_min_arg: list[list[tuple[Ticks, ...] | None]]
-    rej_max_arg: list[list[tuple[Ticks, ...] | None]]
-    rej_min_arg: list[list[tuple[Ticks, ...] | None]]
-
-    def max_any(self, i: int, d: Ticks) -> Ticks:
-        vals = [v for v in (self.sel_max[i][d], self.rej_max[i][d]) if v is not None]
-        return max(vals)
-
-    def min_any(self, i: int, d: Ticks) -> Ticks:
-        vals = [v for v in (self.sel_min[i][d], self.rej_min[i][d]) if v is not None]
-        return min(vals)
+    max_pay: Ticks
+    max_at: tuple[Ticks, ...]
+    min_pay: Ticks
+    min_at: tuple[Ticks, ...]
 
 
-def _payment_stats(table: Mapping[tuple[Ticks, ...], Outcome], n: int, k: int) -> _PaymentStats:
-    def grid_none() -> list[list[Ticks | None]]:
-        return [[None] * (k + 1) for _ in range(n)]
+# A slot holds agent i's two cells at declaration d, indexed by allocation:
+# [rejected, selected].  A cell is None when that allocation never happens there.
+_Slot = list[_PaymentStats | None]
 
-    stats = _PaymentStats(
-        grid_none(), grid_none(), grid_none(), grid_none(),
-        grid_none(), grid_none(), grid_none(), grid_none(),
-    )
-    for profile, out in table.items():
+
+def _payment_stats(
+    rows: Iterable[tuple[tuple[Ticks, ...], Outcome]], n: int, k: int
+) -> list[list[_Slot]]:
+    """Fold (profile, outcome) rows in scan order into one slot per (agent, declared cost)."""
+    stats = [[[None, None] for _ in range(k + 1)] for _ in range(n)]
+    for profile, out in rows:
         for i in range(n):
-            d = profile[i]
+            slot = stats[i][profile[i]]
+            x = out.allocation[i]
             p = out.payments[i]
-            if out.allocation[i]:
-                if stats.sel_max[i][d] is None or p > stats.sel_max[i][d]:
-                    stats.sel_max[i][d] = p
-                    stats.sel_max_arg[i][d] = profile
-                if stats.sel_min[i][d] is None or p < stats.sel_min[i][d]:
-                    stats.sel_min[i][d] = p
-                    stats.sel_min_arg[i][d] = profile
-            else:
-                if stats.rej_max[i][d] is None or p > stats.rej_max[i][d]:
-                    stats.rej_max[i][d] = p
-                    stats.rej_max_arg[i][d] = profile
-                if stats.rej_min[i][d] is None or p < stats.rej_min[i][d]:
-                    stats.rej_min[i][d] = p
-                    stats.rej_min_arg[i][d] = profile
+            cell = slot[x]
+            if cell is None:
+                slot[x] = _PaymentStats(p, profile, p, profile)
+            elif p > cell.max_pay:
+                cell.max_pay, cell.max_at = p, profile
+            elif p < cell.min_pay:
+                cell.min_pay, cell.min_at = p, profile
     return stats
 
 
-def _ensure_table(mech, valuation, grid, n, table, jobs=1):
+def _max_any(slot: _Slot) -> Ticks:
+    return max(cell.max_pay for cell in slot if cell is not None)
+
+
+def _min_any(slot: _Slot) -> Ticks:
+    return min(cell.min_pay for cell in slot if cell is not None)
+
+
+def _ensure_table(mech, valuation, grid, n, table):
     if table is None:
-        return outcome_table(mech, valuation, grid, n, jobs=jobs)
+        return outcome_table(mech, valuation, grid, n)
     return table
 
 
 def check_ir(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Selected agents are paid at least their declared cost, on every profile."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
+    table = _ensure_table(mech, valuation, grid, n, table)
     for profile, out in table.items():
         for i in range(n):
             if out.payments[i] < profile[i] * out.allocation[i]:
@@ -199,11 +173,10 @@ def check_ir(
 
 
 def check_np(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Unselected agents are paid nothing, on every profile."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
+    table = _ensure_table(mech, valuation, grid, n, table)
     for profile, out in table.items():
         for i in range(n):
             if not out.allocation[i] and out.payments[i] != 0:
@@ -212,48 +185,48 @@ def check_np(
 
 
 def check_bf(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Total payments never exceed the budget."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
+    table = _ensure_table(mech, valuation, grid, n, table)
     for profile, out in table.items():
         if out.total_payment() > grid.budget:
             return PropertyReport("bf", False, Witness(None, None, None, profile), len(table))
     return PropertyReport("bf", True, None, len(table))
 
 
-def _sup_utility(stats: _PaymentStats, i: int, d: Ticks, t: Ticks):
+def _sup_utility(stats: list[list[_Slot]], i: int, d: Ticks, t: Ticks):
     """Best-case utility of agent i with true cost t when declaring d, plus arg profile."""
+    rej, sel = stats[i][d]
     best = None
     arg = None
-    if stats.rej_max[i][d] is not None:
-        best = Fraction(stats.rej_max[i][d])
-        arg = stats.rej_max_arg[i][d]
-    if stats.sel_max[i][d] is not None:
-        cand = Fraction(stats.sel_max[i][d] - t)
+    if rej is not None:
+        best = Fraction(rej.max_pay)
+        arg = rej.max_at
+    if sel is not None:
+        cand = Fraction(sel.max_pay - t)
         if best is None or cand > best:
-            best, arg = cand, stats.sel_max_arg[i][d]
+            best, arg = cand, sel.max_at
     return best, arg
 
 
-def _inf_utility(stats: _PaymentStats, i: int, d: Ticks, t: Ticks):
+def _inf_utility(stats: list[list[_Slot]], i: int, d: Ticks, t: Ticks):
     """Worst-case utility of agent i with true cost t when declaring d, plus arg profile."""
+    rej, sel = stats[i][d]
     worst = None
     arg = None
-    if stats.rej_min[i][d] is not None:
-        worst = Fraction(stats.rej_min[i][d])
-        arg = stats.rej_min_arg[i][d]
-    if stats.sel_min[i][d] is not None:
-        cand = Fraction(stats.sel_min[i][d] - t)
+    if rej is not None:
+        worst = Fraction(rej.min_pay)
+        arg = rej.min_at
+    if sel is not None:
+        cand = Fraction(sel.min_pay - t)
         if worst is None or cand < worst:
-            worst, arg = cand, stats.sel_min_arg[i][d]
+            worst, arg = cand, sel.min_at
     return worst, arg
 
 
 def check_bnom_direct(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Truth-telling maximizes the best-case utility, for every true cost and misreport.
 
@@ -261,8 +234,8 @@ def check_bnom_direct(
     its best case; re-verification compares one call there against a rescan of
     the truthful best case.
     """
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
-    stats = _payment_stats(table, n, grid.k)
+    table = _ensure_table(mech, valuation, grid, n, table)
+    stats = _payment_stats(table.items(), n, grid.k)
     for i in range(n):
         for t in grid.points():
             truth_sup, _ = _sup_utility(stats, i, t, t)
@@ -278,8 +251,7 @@ def check_bnom_direct(
 
 
 def check_wnom_direct(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Truth-telling maximizes the worst-case utility, for every true cost and misreport.
 
@@ -287,8 +259,8 @@ def check_wnom_direct(
     its worst case; re-verification compares one call there against a rescan of
     the misreport's worst case.
     """
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
-    stats = _payment_stats(table, n, grid.k)
+    table = _ensure_table(mech, valuation, grid, n, table)
+    stats = _payment_stats(table.items(), n, grid.k)
     for i in range(n):
         for t in grid.points():
             truth_inf, truth_arg = _inf_utility(stats, i, t, t)
@@ -303,98 +275,108 @@ def check_wnom_direct(
     return PropertyReport("wnom", True, None, len(table))
 
 
-def check_threshold_gt(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
-) -> tuple[PropertyReport, ThresholdCertificate | None]:
-    """Search per agent for a golden-ticket threshold: never selected above it,
-    maximum payment exactly the threshold below it, and one of the two at it."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
-    stats = _payment_stats(table, n, grid.k)
-    k = grid.k
-    thresholds: list[Ticks] = []
-    boundary: list[str] = []
-    for i in range(n):
-        found = None
-        for b in range(k + 1):
-            never_above = all(stats.sel_max[i][d] is None for d in range(b + 1, k + 1))
-            pays_below = all(stats.max_any(i, d) == b for d in range(b))
-            at_pay = stats.max_any(i, b) == b
-            at_never = stats.sel_max[i][b] is None
-            if never_above and pays_below and (at_pay or at_never):
-                found = (b, "max-payment" if at_pay else "never-selected")
-                break
-        if found is None:
-            report = PropertyReport("threshold_gt", False, Witness(i, None, None, ()), len(table))
-            return report, None
-        thresholds.append(found[0])
-        boundary.append(found[1])
-    cert = ThresholdCertificate(tuple(thresholds), tuple(boundary))
-    return PropertyReport("threshold_gt", True, None, len(table)), cert
-
-
 def check_restricted_gt_payments(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> PropertyReport:
     """Every declaration either never wins (and the global best payment is at most
     the declaration) or can win the global best payment outright."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
-    stats = _payment_stats(table, n, grid.k)
+    table = _ensure_table(mech, valuation, grid, n, table)
+    stats = _payment_stats(table.items(), n, grid.k)
     for i in range(n):
-        global_max = max(stats.max_any(i, d) for d in grid.points())
-        arg = None
-        for d in grid.points():
-            if stats.max_any(i, d) == global_max:
-                arg = stats.sel_max_arg[i][d] if stats.sel_max[i][d] == global_max else stats.rej_max_arg[i][d]
-                break
-        for d in grid.points():
-            never_selected = stats.sel_max[i][d] is None
-            if never_selected and global_max <= d:
+        slots = stats[i]
+        global_max = max(_max_any(slot) for slot in slots)
+        rej, sel = next(slot for slot in slots if _max_any(slot) == global_max)
+        arg = sel.max_at if sel is not None and sel.max_pay == global_max else rej.max_at
+        for d, (_, sel) in enumerate(slots):
+            if sel is None and global_max <= d:
                 continue
-            if not never_selected and stats.sel_max[i][d] == global_max:
+            if sel is not None and sel.max_pay == global_max:
                 continue
-            return PropertyReport(
-                "restricted_gt", False, Witness(i, None, d, arg or ()), len(table)
-            )
+            return PropertyReport("restricted_gt", False, Witness(i, None, d, arg), len(table))
     return PropertyReport("restricted_gt", True, None, len(table))
 
 
+class _ThresholdRule(NamedTuple):
+    """How one threshold property tests a declaration's slot against a candidate b.
+
+    A threshold sits at b when every declaration above b is ``beyond`` it, every
+    one below is ``pinned`` to b, and b itself ``pays`` exactly b (first label)
+    or is ``beyond`` (second label).
+    """
+
+    prop: str
+    beyond: Callable[[_Slot], bool]
+    pinned: Callable[[_Slot, Ticks], bool]
+    pays: Callable[[_Slot, Ticks], bool]
+    labels: tuple[str, str]
+
+
+# Golden ticket: never selected above, maximum payment exactly b below.
+_GT_RULE = _ThresholdRule(
+    "threshold_gt",
+    lambda slot: slot[1] is None,
+    lambda slot, b: _max_any(slot) == b,
+    lambda slot, b: _max_any(slot) == b,
+    ("max-payment", "never-selected"),
+)
+# Wooden spoon: rejectable above, always selected at minimum payment exactly b below.
+_WS_RULE = _ThresholdRule(
+    "threshold_ws",
+    lambda slot: slot[0] is not None,
+    lambda slot, b: slot[0] is None and slot[1].min_pay == b,
+    lambda slot, b: _min_any(slot) == b,
+    ("min-payment", "sometimes-rejected"),
+)
+_THRESHOLD_RULES = {rule.prop: rule for rule in (_GT_RULE, _WS_RULE)}
+
+
+def _threshold_search(slots: list[_Slot], rule: _ThresholdRule) -> tuple[Ticks, str] | None:
+    """The lowest grid point that is a threshold for one agent's slots, with its label."""
+    k = len(slots) - 1
+    for b in range(k + 1):
+        if all(rule.beyond(slots[d]) for d in range(b + 1, k + 1)) and all(
+            rule.pinned(slots[d], b) for d in range(b)
+        ):
+            if rule.pays(slots[b], b):
+                return b, rule.labels[0]
+            if rule.beyond(slots[b]):
+                return b, rule.labels[1]
+    return None
+
+
+def _check_threshold(
+    rule: _ThresholdRule, mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table
+) -> tuple[PropertyReport, ThresholdCertificate | None]:
+    table = _ensure_table(mech, valuation, grid, n, table)
+    stats = _payment_stats(table.items(), n, grid.k)
+    found = []
+    for i in range(n):
+        hit = _threshold_search(stats[i], rule)
+        if hit is None:
+            return PropertyReport(rule.prop, False, Witness(i, None, None, ()), len(table)), None
+        found.append(hit)
+    thresholds, boundary = zip(*found)
+    return PropertyReport(rule.prop, True, None, len(table)), ThresholdCertificate(thresholds, boundary)
+
+
+def check_threshold_gt(
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
+) -> tuple[PropertyReport, ThresholdCertificate | None]:
+    """Search per agent for a golden-ticket threshold: never selected above it,
+    maximum payment exactly the threshold below it, and one of the two at it."""
+    return _check_threshold(_GT_RULE, mech, valuation, grid, n, table)
+
+
 def check_threshold_ws(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> tuple[PropertyReport, ThresholdCertificate | None]:
     """Search per agent for a wooden-spoon threshold: rejectable above it, always
     selected at minimum payment exactly the threshold below it, one of the two at it."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
-    stats = _payment_stats(table, n, grid.k)
-    k = grid.k
-    thresholds: list[Ticks] = []
-    boundary: list[str] = []
-    for i in range(n):
-        found = None
-        for w in range(k + 1):
-            rejectable_above = all(stats.rej_min[i][d] is not None for d in range(w + 1, k + 1))
-            pinned_below = all(
-                stats.rej_min[i][d] is None and stats.sel_min[i][d] == w for d in range(w)
-            )
-            at_pay = stats.min_any(i, w) == w
-            at_reject = stats.rej_min[i][w] is not None
-            if rejectable_above and pinned_below and (at_pay or at_reject):
-                found = (w, "min-payment" if at_pay else "sometimes-rejected")
-                break
-        if found is None:
-            report = PropertyReport("threshold_ws", False, Witness(i, None, None, ()), len(table))
-            return report, None
-        thresholds.append(found[0])
-        boundary.append(found[1])
-    cert = ThresholdCertificate(tuple(thresholds), tuple(boundary))
-    return PropertyReport("threshold_ws", True, None, len(table)), cert
+    return _check_threshold(_WS_RULE, mech, valuation, grid, n, table)
 
 
 def characterization_crosscheck(
-    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    table=None, jobs: int = 1,
+    mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int, table=None
 ) -> CrosscheckReport:
     """Assert the grid equivalences between the direct incentive definitions and
     their threshold characterizations.
@@ -403,7 +385,7 @@ def characterization_crosscheck(
     additionally require individual rationality and are skipped without it.
     Any disagreement indicates a bug in this artifact, not in the mechanism.
     """
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
+    table = _ensure_table(mech, valuation, grid, n, table)
     if not check_np(mech, valuation, grid, n, table).holds:
         raise PreconditionFailed("np")
     ir_ok = check_ir(mech, valuation, grid, n, table).holds
@@ -424,34 +406,33 @@ def characterization_crosscheck(
     return CrosscheckReport(tuple(lines), skipped)
 
 
-def approx_ratio(
-    mech: MechanismFn, instance: Instance, family: FeasibilityFamily | None = None
-) -> Fraction | float:
+def value_ratio(best: Fraction, achieved: Fraction) -> Fraction | float:
     """Optimal value over achieved value; +inf when the mechanism scores zero
     against a positive optimum, 1 when both are zero."""
-    out = mech(instance)
-    achieved = instance.valuation.value(out.selected())
-    best = solve_exact(instance, family).value
     if achieved == 0:
         return Fraction(1) if best == 0 else math.inf
     return best / achieved
 
 
+def approx_ratio(
+    mech: MechanismFn, instance: Instance, family: FeasibilityFamily | None = None
+) -> Fraction | float:
+    """The approximation ratio of one mechanism call (see ``value_ratio``)."""
+    achieved = instance.valuation.value(mech(instance).selected())
+    return value_ratio(solve_exact(instance, family).value, achieved)
+
+
 def worst_case_ratio(
     mech: MechanismFn, valuation: SetValuation, grid: CostGrid, n: int,
-    family: FeasibilityFamily | None = None, table=None, jobs: int = 1,
+    family: FeasibilityFamily | None = None, table=None,
 ) -> tuple[Fraction | float, tuple[Ticks, ...]]:
     """Maximum of the approximation ratio over every grid profile, with arg-max."""
-    table = _ensure_table(mech, valuation, grid, n, table, jobs)
+    table = _ensure_table(mech, valuation, grid, n, table)
     worst: Fraction | float = Fraction(0)
     arg: tuple[Ticks, ...] = ()
     for profile, out in table.items():
-        achieved = valuation.value(out.selected())
         best = solve_exact(Instance(n, valuation, grid.budget, profile), family).value
-        if achieved == 0:
-            ratio: Fraction | float = Fraction(1) if best == 0 else math.inf
-        else:
-            ratio = best / achieved
+        ratio = value_ratio(best, valuation.value(out.selected()))
         if ratio > worst:
             worst, arg = ratio, profile
     return worst, arg
@@ -474,10 +455,7 @@ def expected_ratio_over_specs(
     for spec in specs:
         out = randomized_mr(inst, spec, solver)
         total += valuation.value(out.selected())
-    mean = total / len(specs)
-    if mean == 0:
-        return Fraction(1) if best == 0 else math.inf
-    return best / mean
+    return value_ratio(best, total / len(specs))
 
 
 def make_mutant(base: Mechanism, mutation: str) -> Mechanism:
@@ -557,19 +535,31 @@ def reverify_witness(
     if report.prop == "bnom":
         lie_u = utility(w.true_cost, call(w.profile), w.agent)
         truth_sup = max(
-            utility(w.true_cost, call(_insert(rest, w.agent, w.true_cost)), w.agent)
-            for rest in enumerate_profiles(grid, n - 1)
-        ) if n > 1 else utility(w.true_cost, call((w.true_cost,)), w.agent)
+            utility(w.true_cost, call(p), w.agent) for p in _declaring(grid, n, w.agent, w.true_cost)
+        )
         return lie_u > truth_sup
     if report.prop == "wnom":
         truth_u = utility(w.true_cost, call(w.profile), w.agent)
         lie_inf = min(
-            utility(w.true_cost, call(_insert(rest, w.agent, w.declared)), w.agent)
-            for rest in enumerate_profiles(grid, n - 1)
-        ) if n > 1 else utility(w.true_cost, call((w.declared,)), w.agent)
+            utility(w.true_cost, call(p), w.agent) for p in _declaring(grid, n, w.agent, w.declared)
+        )
         return lie_inf > truth_u
+    if report.prop == "restricted_gt":
+        # The witness profile attains the agent's best payment p*; the declared
+        # cost must then be never selected with p* > d, or win less than p*.
+        best = call(w.profile).payments[w.agent]
+        outs = [call(p) for p in _declaring(grid, n, w.agent, w.declared)]
+        won = [out.payments[w.agent] for out in outs if out.allocation[w.agent]]
+        return best > w.declared if not won else max(won) < best
+    if report.prop in _THRESHOLD_RULES:
+        fresh = ((p, call(p)) for p in enumerate_profiles(grid, n))
+        slots = _payment_stats(fresh, n, grid.k)[w.agent]
+        return _threshold_search(slots, _THRESHOLD_RULES[report.prop]) is None
     raise ValueError(f"no re-verification rule for property {report.prop!r}")
 
 
-def _insert(rest: tuple[Ticks, ...], i: int, value: Ticks) -> tuple[Ticks, ...]:
-    return rest[:i] + (value,) + rest[i:]
+def _declaring(grid: CostGrid, n: int, i: int, d: Ticks) -> list[tuple[Ticks, ...]]:
+    """Every grid profile in which agent i declares d, in scan order."""
+    if n == 1:
+        return [(d,)]
+    return [rest[:i] + (d,) + rest[i:] for rest in enumerate_profiles(grid, n - 1)]

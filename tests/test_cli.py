@@ -64,6 +64,50 @@ def test_run_malformed_json_exits_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"costs_ticks": [1.9, 1]},
+        {"costs_ticks": [True, 1]},
+        {"n": 2.0},
+        {"budget_ticks": True},
+        {"valuation": {"kind": "additive", "values": [0.1, 1]}},
+        {"valuation": {"kind": "additive", "values": [True, 1]}},
+        {"valuation": {"kind": "table", "entries": {"": 0, "0": 0.5, "1": "1", "0,1": "1"}}},
+    ],
+)
+def test_run_inexact_json_numbers_exit_2(tmp_path, capsys, edit):
+    doc = json.loads((FIXTURES / "equal_pair.json").read_text(encoding="utf-8"))
+    doc.update(edit)
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--mechanism", "moww")
+    assert code == EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--random", "2", "3", "1", "1", "--mechanism", "ww", "--mutate", "bogus"],
+        ["verify", "--random", "2", "0", "1", "1", "--mechanism", "ww"],
+        ["verify", "--random", "0", "3", "1", "1", "--mechanism", "ww"],
+        ["table", "--mechanisms", "moww", "--trials", "0", "--n", "2", "--k", "2"],
+        ["table", "--mechanisms", "moww", "--n", "2", "--k", "0", "--trials", "1"],
+        ["table", "--mechanisms", ",", "--n", "2", "--k", "2"],
+        ["table", "--mechanisms", "mr", "--n", "2", "--k", "4", "--trials", "1", "--ell", "0"],
+        ["run", str(FIXTURES / "golden_pair.json"), "--mechanism", "mr", "--ell", "2", "--spec-index", "9"],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    assert code == EXIT_PARSE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "run", "/nonexistent/instance.json", "--mechanism", "ww")
     assert code == EXIT_PARSE
@@ -119,6 +163,15 @@ def test_verify_mutant_fails_with_witness(capsys):
     assert "witness" in report
 
 
+def test_verify_structural_mutant_of_other_mechanism_exits_3(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--random", "2", "3", "1", "1",
+        "--mechanism", "golden", "--mutate", "no_golden_ticket",
+    )
+    assert code == EXIT_INCOMPATIBLE
+    assert "willy_wonka only" in err
+
+
 def test_verify_guard_exits_4(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--random", "6", "10", "1", "0",
@@ -142,7 +195,7 @@ def test_verify_instance_file_crosscheck(capsys):
 def test_gap_conflict_family(capsys):
     code, out, _ = run_cli(capsys, "gap", str(FIXTURES / "conflict_family.json"))
     assert code == EXIT_OK
-    assert out.splitlines()[0] == "4/1"
+    assert out == "4/1\nattained forcing agent 1 into S={0,1}\n"
 
 
 def test_gap_without_family_is_one(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from budgetmech.domain import CostGrid, GuardExceeded, Instance, Outcome, enumerate_profiles
 from budgetmech.mechanisms import (
+    CACHE_MAXSIZE,
     canonical_gt,
     canonical_ws,
     compute_w1,
@@ -171,6 +172,14 @@ def test_w1_single_agent_is_budget():
 def test_w1_guard():
     with pytest.raises(GuardExceeded):
         compute_w1(make_additive([1] * 6), 8, 6)
+
+
+def test_caches_stay_within_their_bound():
+    for a in range(1, CACHE_MAXSIZE + 6):
+        compute_w1(make_additive([a, 1]), 1, 2)
+        make_ticket_family(2, 3 + a, 1)
+    assert compute_w1.cache_info().currsize <= CACHE_MAXSIZE
+    assert make_ticket_family.cache_info().currsize <= CACHE_MAXSIZE
 
 
 def test_golden_exception_branch_positive_runner_up():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from budgetmech.valuation import make_additive, make_table, random_subadditive
 from budgetmech.verify import (
     MUTATIONS,
     PreconditionFailed,
+    Witness,
     approx_ratio,
     characterization_crosscheck,
     check_bf,
@@ -64,12 +66,6 @@ def test_constant_reject_holds_vacuously():
 def test_guard_on_table_size():
     with pytest.raises(GuardExceeded):
         outcome_table(WW, make_additive([1] * 6), CostGrid(10), 6)
-
-
-def test_outcome_table_parallel_build_matches_serial():
-    serial = outcome_table(WW, BALANCED, GRID, 3, jobs=1)
-    parallel = outcome_table(WW, BALANCED, GRID, 3, jobs=3)
-    assert list(serial.items()) == list(parallel.items())
 
 
 @pytest.mark.parametrize(
@@ -231,11 +227,51 @@ def test_golden_mechanism_stays_below_phi_and_nearly_reaches_it():
     assert frac >= Fraction(16, 10)
 
 
+@pytest.mark.parametrize(
+    "values,mech,profile_of,want",
+    [
+        ([0, 0], mech_constant_reject(), lambda spec: spec.wooden[1] + spec.wooden[0], 1),
+        ([1, 1], mech_constant_reject(), lambda spec: spec.wooden[1] + spec.wooden[0], math.inf),
+        ([1, 1], mech_moww(), lambda spec: (0,) + spec.golden[0], 2),
+    ],
+    ids=["both-zero", "achieved-zero", "ordinary"],
+)
+def test_ratio_rule(values, mech, profile_of, want):
+    # On the spec's wooden-spoon profile randomized_mr selects nobody; on agent
+    # 0's golden-ticket profile it selects agent 0 alone, where both fit.
+    v = make_additive(values)
+    assert worst_case_ratio(mech, v, GRID, 2)[0] == want
+    (spec,) = make_ticket_family(2, GRID.k, 1)
+    assert expected_ratio_over_specs([spec], v, profile_of(spec)) == want
+
+
 def test_expected_ratio_over_specs_unit_family():
     specs = make_ticket_family(2, 8, 2)
     v = make_additive([1, 1])
     ratio = expected_ratio_over_specs(specs, v, (1, 1))
     assert ratio >= 1
+
+
+GOLDEN_PAIR = make_additive([Fraction(1618, 1000), 1])
+
+
+@pytest.mark.parametrize(
+    "check", [check_threshold_gt, check_threshold_ws, check_restricted_gt_payments]
+)
+def test_threshold_witnesses_reverify(check, ww_table):
+    # At n=2 the golden mechanism has neither threshold on these values (criterion 3).
+    grid, golden = CostGrid(20), mech_golden()
+    rep = check(golden, GOLDEN_PAIR, grid, 2)
+    rep = rep[0] if isinstance(rep, tuple) else rep
+    assert not rep.holds
+    assert reverify_witness(rep, golden, GOLDEN_PAIR, grid, 2)
+
+    held = check(WW, BALANCED, GRID, 3, ww_table)
+    held = held[0] if isinstance(held, tuple) else held
+    assert held.holds
+    assert not reverify_witness(held, WW, BALANCED, GRID, 3)
+    forged = dataclasses.replace(held, holds=False, witness=Witness(0, None, 0, (0, 0, 0)))
+    assert not reverify_witness(forged, WW, BALANCED, GRID, 3)
 
 
 def test_reverify_requires_a_failing_report(ww_table):
