@@ -15,8 +15,9 @@ import json
 import math
 import random
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .domain import (
     CostGrid,
@@ -347,6 +348,8 @@ def cmd_verify(args) -> int:
         rand_n, rand_k, count, seed = args.random
         if rand_n < 1 or rand_k < 1:
             raise ParseError("--random needs N >= 1 agents and K >= 1 grid ticks")
+        if count < 1:
+            raise ParseError("--random needs COUNT >= 1 scenarios")
         rng = random.Random(seed)
         for _ in range(count):
             scenarios.append(
@@ -365,8 +368,8 @@ def cmd_verify(args) -> int:
         mech = _build_mechanism(args, stub, family)
         if args.mutate is not None:
             try:
-                mech = make_mutant(mech, args.mutate)
-            except ValueError as exc:  # a structural mutation of a mechanism other than ww
+                mech = make_mutant(mech, args.mutate, n)
+            except ValueError as exc:  # a structural mutation of a non-ww mechanism, or too few agents
                 raise Incompatible(str(exc)) from exc
         reports, ok = _verify_one(mech, oracle, grid, n, props)
         out_reports.append({"mechanism": mech.name, "n": n, "k": grid.k, "reports": reports})

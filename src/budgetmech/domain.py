@@ -10,10 +10,11 @@ ticket matching, and golden-ratio comparisons never touch floating point.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Protocol
+from typing import Protocol
 
 Ticks = int
 

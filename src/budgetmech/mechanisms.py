@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
 
 from .domain import (
     CostGrid,
@@ -30,11 +30,13 @@ from .domain import (
     ratio_below_phi,
 )
 from .packing import (
+    CACHE_MAXSIZE,
     EXACT_SOLVER,
     FeasibilityFamily,
     PackingSolution,
     Solver,
     opt_force,
+    per_valuation,
     solve_exact,
 )
 from .valuation import singleton_order
@@ -42,10 +44,6 @@ from .valuation import singleton_order
 logger = logging.getLogger(__name__)
 
 W1_ENUM_CAP = 6561  # opponent-profile budget for the threshold search: (K+1)**(n-1)
-# Entries kept by the compute_w1 and make_ticket_family caches.  A grid scan
-# reuses one entry per (valuation, budget) or (n, k, ell); the bound keeps a
-# long run over many valuations from growing without limit.
-CACHE_MAXSIZE = 64
 
 _TICKET_SHUFFLE_SEED = 0x7901D
 
@@ -100,6 +98,51 @@ def _first_ticket_match(
     return None
 
 
+# Cost-independent work, done once per valuation through ``per_valuation``.
+
+
+def _strong_agent(valuation: SetValuation, family: FeasibilityFamily | None, n: int) -> int | None:
+    """The strong agent of ``max_or_willy_wonka`` (no family) or of its
+    constrained variant, or None when there is none.
+
+    The candidate maximizes V({i}) over the value of the best solution without
+    i -- V(N - {i}) without a family, the best family member without i with
+    one -- counting a zero denominator as an infinite ratio, ties to the
+    lowest index.  It is strong when the ratio is at least 1.
+    """
+    if family is None:
+        everyone = frozenset(range(n))
+
+        def rest_value(i: int) -> Fraction:
+            return valuation.value(everyone - {i})
+    else:
+        structural = Instance(n, valuation, 0, (0,) * n)
+
+        def rest_value(i: int) -> Fraction:
+            sol = opt_force(structural, family, i, "exclude")
+            return sol.value if sol is not None else Fraction(0)
+
+    best_i = 0
+    best_key: tuple[int, Fraction] | None = None
+    best_num = Fraction(0)
+    best_den = Fraction(0)
+    for i in range(n):
+        num = valuation.value((i,))
+        den = rest_value(i)
+        key = (1, Fraction(0)) if den == 0 else (0, num / den)
+        if best_key is None or key > best_key:
+            best_key, best_i, best_num, best_den = key, i, num, den
+    return best_i if best_num >= best_den else None
+
+
+def _renamed(valuation: SetValuation, family: None, n: int) -> tuple[tuple[int, ...], SetValuation]:
+    """The singleton order and the valuation seen in positions of that order."""
+    order = singleton_order(valuation, n)
+    if order == tuple(range(n)):
+        return order, valuation
+    return order, _RenamedValuation(valuation, order)
+
+
 def _willy_wonka_core(
     instance: Instance,
     solver: Solver,
@@ -109,7 +152,7 @@ def _willy_wonka_core(
     gt_cap: Ticks = 0,
 ) -> Outcome:
     n, budget = instance.n, instance.budget
-    order = singleton_order(instance.valuation, n)
+    order, _ = per_valuation(_renamed, instance.valuation, None, n)
     renamed = tuple(instance.costs[a] for a in order)
     x = [0] * n
     p = [0] * n
@@ -145,38 +188,12 @@ def willy_wonka(instance: Instance, solver: Solver = EXACT_SOLVER) -> Outcome:
     return _willy_wonka_core(instance, solver)
 
 
-def _argmax_singleton_ratio(
-    valuation: SetValuation,
-    n: int,
-    rest_value: Callable[[int], Fraction],
-) -> tuple[int, Fraction, Fraction]:
-    """Agent maximizing V({i}) over the value of the best solution without i.
-
-    A zero denominator counts as an infinite ratio; ties go to the lowest index.
-    """
-    best_i = 0
-    best_key: tuple[int, Fraction] | None = None
-    best_num = Fraction(0)
-    best_den = Fraction(0)
-    for i in range(n):
-        num = valuation.value((i,))
-        den = rest_value(i)
-        key = (1, Fraction(0)) if den == 0 else (0, num / den)
-        if best_key is None or key > best_key:
-            best_key, best_i, best_num, best_den = key, i, num, den
-    return best_i, best_num, best_den
-
-
 def max_or_willy_wonka(instance: Instance, solver: Solver = EXACT_SOLVER) -> Outcome:
     """Select a single strong agent at the full budget when one dominates the rest,
     otherwise fall through to the ticket mechanism."""
     n = instance.n
-    v = instance.valuation
-    everyone = frozenset(range(n))
-    istar, num, den = _argmax_singleton_ratio(
-        v, n, lambda i: v.value(everyone - {i})
-    )
-    if num >= den:
+    istar = per_valuation(_strong_agent, instance.valuation, None, n)
+    if istar is not None:
         x = [0] * n
         p = [0] * n
         x[istar] = 1
@@ -195,16 +212,10 @@ def max_or_willy_wonka_constrained(
     best feasible solution without the candidate."""
     n, budget = instance.n, instance.budget
     v = instance.valuation
-    structural = Instance(n, v, 0, (0,) * n)
-
-    def rest_value(i: int) -> Fraction:
-        sol = opt_force(structural, family, i, "exclude")
-        return sol.value if sol is not None else Fraction(0)
-
-    istar, num, den = _argmax_singleton_ratio(v, n, rest_value)
+    istar = per_valuation(_strong_agent, v, family, n)
     x = [0] * n
     p = [0] * n
-    if num >= den:
+    if istar is not None:
         if family.contains(frozenset((istar,))):
             x[istar] = 1
             p[istar] = budget
@@ -212,7 +223,7 @@ def max_or_willy_wonka_constrained(
             logger.info("strong-agent singleton %d is not family-feasible; allocating nothing", istar)
         return Outcome(tuple(x), tuple(p))
 
-    order = singleton_order(v, n)
+    order, _ = per_valuation(_renamed, v, None, n)
     renamed = tuple(instance.costs[a] for a in order)
 
     gt = _first_ticket_match(renamed, budget, canonical_gt)
@@ -318,11 +329,7 @@ def golden_mechanism(instance: Instance, grid: CostGrid | None = None) -> Outcom
     n, budget = instance.n, instance.budget
     if grid is not None and grid.budget != budget:
         raise ValueError("grid resolution must match the instance budget")
-    order = singleton_order(instance.valuation, n)
-    identity = tuple(range(n))
-    renamed_val: SetValuation = (
-        instance.valuation if order == identity else _RenamedValuation(instance.valuation, order)
-    )
+    order, renamed_val = per_valuation(_renamed, instance.valuation, None, n)
     renamed = tuple(instance.costs[a] for a in order)
     x = [0] * n
     p = [0] * n

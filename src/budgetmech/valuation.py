@@ -8,9 +8,9 @@ Table oracles are capped at 12 agents; beyond that the checkers refuse.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .domain import GuardExceeded
 

@@ -9,9 +9,10 @@ each checker a negative control.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .domain import (
     CostGrid,
@@ -458,8 +459,12 @@ def expected_ratio_over_specs(
     return value_ratio(best, total / len(specs))
 
 
-def make_mutant(base: Mechanism, mutation: str) -> Mechanism:
-    """Wrap or rebuild a mechanism with one named defect, as a negative control."""
+def make_mutant(base: Mechanism, mutation: str, n: int | None = None) -> Mechanism:
+    """Wrap or rebuild a mechanism with one named defect, as a negative control.
+
+    Given the agent count ``n`` of the instances it will run on, a mutation
+    that cannot run on ``n`` agents is refused here, not at its first call.
+    """
     if mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
     name = f"{base.name}+{mutation}"
@@ -492,9 +497,13 @@ def make_mutant(base: Mechanism, mutation: str) -> Mechanism:
                 return Outcome(out.allocation, (1,) + out.payments[1:])
             return out
     elif mutation == "double_B":
+        too_few = "double_B needs at least two agents"
+        if n is not None and n < 2:
+            raise ValueError(too_few)
+
         def fn(inst: Instance) -> Outcome:
             if inst.n < 2:
-                raise ValueError("double_B needs at least two agents")
+                raise ValueError(too_few)
             out = base(inst)
             if all(c == 0 for c in inst.costs):
                 x = (1, 1) + out.allocation[2:]

@@ -97,6 +97,8 @@ def test_run_inexact_json_numbers_exit_2(tmp_path, capsys, edit):
         ["table", "--mechanisms", ",", "--n", "2", "--k", "2"],
         ["table", "--mechanisms", "mr", "--n", "2", "--k", "4", "--trials", "1", "--ell", "0"],
         ["run", str(FIXTURES / "golden_pair.json"), "--mechanism", "mr", "--ell", "2", "--spec-index", "9"],
+        ["verify", "--random", "2", "3", "0", "1", "--mechanism", "ww"],
+        ["verify", "--random", "2", "3", "-1", "1", "--mechanism", "ww"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -170,6 +172,15 @@ def test_verify_structural_mutant_of_other_mechanism_exits_3(capsys):
     )
     assert code == EXIT_INCOMPATIBLE
     assert "willy_wonka only" in err
+
+
+def test_verify_mutant_that_cannot_run_exits_3_before_the_scan(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--random", "1", "3", "1", "1",
+        "--mechanism", "ww", "--mutate", "double_B",
+    )
+    assert code == EXIT_INCOMPATIBLE
+    assert out == "" and "double_B needs at least two agents" in err
 
 
 def test_verify_guard_exits_4(capsys):

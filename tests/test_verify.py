@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import importlib
 import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -284,3 +288,28 @@ def test_mutation_catalog_is_complete():
         "no_golden_ticket", "no_wooden_spoon", "underpay", "consolation",
         "capped_gt", "double_B", "always_select_all",
     }
+
+
+def _purge_package() -> dict:
+    names = [m for m in sys.modules if m == "budgetmech" or m.startswith("budgetmech.")]
+    return {name: sys.modules.pop(name) for name in names}
+
+
+def test_reimported_package_copies_are_freed():
+    """Nothing process-wide (such as typing's cache of subscripted aliases)
+    keeps an old copy of the package alive after it is re-imported."""
+    saved = _purge_package()
+    try:
+        bm = importlib.import_module("budgetmech.cli")
+        bm.mech_moww()(bm.Instance(2, bm.make_additive([1, 2]), 2, (1, 1)))  # fill the memo
+        old = weakref.ref(bm.Instance)
+        del bm
+        for _ in range(3):
+            _purge_package()
+            importlib.import_module("budgetmech.cli")
+        _purge_package()
+        gc.collect()
+        assert old() is None
+    finally:
+        _purge_package()
+        sys.modules.update(saved)
