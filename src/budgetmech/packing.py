@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,11 +23,6 @@ from .valuation import AdditiveValuation, check_class
 
 EXACT_AGENT_CAP = 20
 GAP_AGENT_CAP = 12
-# Rank tables cover instances of up to this many agents.  Ranking 2**n subsets
-# costs about n enumerations, which a grid scan repays at once but the few
-# solves a larger instance gets never do: at n=16 the first solve took 2.3 s and
-# 70 MiB more memory against 0.1 s for one enumeration (CPython 3.11, 2-core x86).
-RANK_AGENT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,11 @@ def _zero_cost_pass(
 
 
 # Entries kept by the per-valuation memo (and by the lru_caches in
-# ``mechanisms``).  A grid scan reuses a handful of entries; the bound keeps a
-# long run over many valuations from growing without limit.
-CACHE_MAXSIZE = 64
+# ``mechanisms``).  A grid scan uses at most three memo entries -- its
+# valuation with no family, with the scan's family, and golden's renamed view
+# -- and one entry of each lru_cache; the bound keeps a run over many
+# valuations from keeping them all alive.
+CACHE_MAXSIZE = 8
 
 _MEMO: dict[tuple[int, int, int], tuple[SetValuation, FeasibilityFamily | None, dict]] = {}
 
@@ -141,45 +139,72 @@ def _mask(members: Iterable[int]) -> int:
     return sum(1 << i for i in members)
 
 
-# One rank-table row: a subset as a bitmask, its members and its solution.
-_Row = tuple[int, tuple[int, ...], PackingSolution]
+def _subset_sums(numbers: Iterable[int]) -> list[int]:
+    """The sum of every subset of ``numbers``, indexed by bitmask."""
+    sums = [0]
+    for x in numbers:
+        sums += [s + x for s in sums]
+    return sums
 
 
-def _rank_table(
-    valuation: SetValuation, family: FeasibilityFamily | None, n: int
-) -> tuple[_Row, ...]:
-    """Every candidate subset (the family's members, or all of them) in the
-    canonical order: value descending, then cardinality descending, then
-    sorted members ascending.
+def _sort_keys(valuation: SetValuation, n: int) -> list[int]:
+    """One integer per subset, indexed by bitmask, packing from the high bits
+    down: the subset's value times the least common multiple of the
+    denominators, its cardinality, its mask with the bits reversed, and its
+    mask.
+
+    Among subsets of one size the larger reversed mask has the
+    lexicographically smaller member tuple, so the keys are distinct and sort
+    in descending order into the canonical order.
+    """
+    value_shift = 2 * n + n.bit_length()
+    agent_bits = [1 << 2 * n | 1 << (2 * n - 1 - i) | 1 << i for i in range(n)]
+    if isinstance(valuation, AdditiveValuation):
+        # Every field adds up over the members, so a key is a sum of agent keys.
+        scale = math.lcm(*(v.denominator for v in valuation.values))
+        return _subset_sums(
+            v.numerator * (scale // v.denominator) << value_shift | bits
+            for v, bits in zip(valuation.values, agent_bits)
+        )
+    values = [valuation.value(_members(mask)) for mask in range(1 << n)]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [
+        v.numerator * (scale // v.denominator) << value_shift | bits
+        for v, bits in zip(values, _subset_sums(agent_bits))
+    ]
+
+
+class _RankTable:
+    """The candidate subsets of one (valuation, family) -- the family's
+    members, or all of them -- as bitmasks in the canonical order: value
+    descending, then cardinality descending, then sorted members ascending.
 
     The order makes folding in zero-cost agents unnecessary: for a monotone
     oracle, a feasible zero-cost extension of a set costs the same, is worth
-    at least as much and is larger, so it ranks ahead of the set.  Hence the
-    monotonicity check.
+    at least as much and is larger, so it ranks ahead of the set.
+    ``TableValuation`` refuses a non-monotone table, and additive values are
+    non-negative.
     """
-    values = [valuation.value(_members(mask)) for mask in range(1 << n)]
-    for mask in range(1 << n):
-        for i in range(n):
-            grown = mask | 1 << i
-            if grown != mask and values[mask] > values[grown]:
-                raise OracleClassError(
-                    "exact packing needs a monotone valuation: "
-                    f"V({set(_members(mask)) or '{}'}) > V({set(_members(grown))})"
-                )
-    # Cardinality descending, members ascending; the stable sort by value
-    # keeps that order among equal values.
-    tie_order = [
-        _mask(combo) for r in range(n, -1, -1) for combo in itertools.combinations(range(n), r)
-    ]
-    if family is not None:
-        allowed = {_mask(s) for s in family.subsets}
-        tie_order = [mask for mask in tie_order if mask in allowed]
-    ranked = sorted(tie_order, key=values.__getitem__, reverse=True)
-    rows = []
-    for mask in ranked:
-        members = _members(mask)
-        rows.append((mask, members, PackingSolution(frozenset(members), values[mask])))
-    return tuple(rows)
+
+    def __init__(self, valuation: SetValuation, family: FeasibilityFamily | None, n: int):
+        keys = _sort_keys(valuation, n)
+        if family is not None:
+            keys = [keys[_mask(s)] for s in family.subsets]
+        keys.sort(reverse=True)
+        everyone = (1 << n) - 1
+        self.ranked = array("L", (key & everyone for key in keys))
+        self.valuation = valuation
+        self.solutions: dict[int, PackingSolution] = {}
+
+    def solution(self, mask: int) -> PackingSolution:
+        """The solution for one ranked mask, built on its first return."""
+        sol = self.solutions.get(mask)
+        if sol is None:
+            members = _members(mask)
+            sol = self.solutions[mask] = PackingSolution(
+                frozenset(members), self.valuation.value(members)
+            )
+        return sol
 
 
 def _best_subset(
@@ -196,45 +221,19 @@ def _best_subset(
     if exclude is not None:
         forbidden |= 1 << exclude
     required = 0 if include is None else 1 << include
-    if n > RANK_AGENT_CAP:
-        return _enumerated_best(instance, family, forbidden, required)
-    costs, budget = instance.costs, instance.budget
-    for mask, members, solution in per_valuation(_rank_table, instance.valuation, family, n):
+    table = per_valuation(_RankTable, instance.valuation, family, n)
+    # A subset's cost is the cost of its low half plus that of its high half.
+    half = n // 2
+    low_half = (1 << half) - 1
+    low = _subset_sums(instance.costs[:half])
+    high = _subset_sums(instance.costs[half:])
+    budget = instance.budget
+    for mask in table.ranked:
         if mask & forbidden or mask & required != required:
             continue
-        cost = 0
-        for i in members:
-            cost += costs[i]
-        if cost <= budget:
-            return solution
+        if low[mask & low_half] + high[mask >> half] <= budget:
+            return table.solution(mask)
     return None
-
-
-def _enumerated_best(
-    instance: Instance, family: FeasibilityFamily | None, forbidden: int, required: int
-) -> PackingSolution | None:
-    """What the rank table would return, by one pass over every candidate
-    (instances above ``RANK_AGENT_CAP``).  Like the rank table, it relies on a
-    monotone oracle to leave out the zero-cost pass; unlike it, it does not
-    check that the oracle is monotone."""
-    v, costs, budget = instance.valuation, instance.costs, instance.budget
-    if family is None:
-        agents = [i for i in range(instance.n) if not forbidden >> i & 1]
-        candidates = itertools.chain.from_iterable(
-            itertools.combinations(agents, r) for r in range(len(agents) + 1)
-        )
-    else:
-        candidates = (tuple(sorted(s)) for s in family.subsets if not _mask(s) & forbidden)
-    best: PackingSolution | None = None
-    for members in candidates:
-        if required and not _mask(members) & required:
-            continue
-        if sum(costs[i] for i in members) > budget:
-            continue
-        chosen, value = frozenset(members), v.value(members)
-        if _improves(value, chosen, best):
-            best = PackingSolution(chosen, value)
-    return best
 
 
 def solve_exact(instance: Instance, family: FeasibilityFamily | None = None) -> PackingSolution:

@@ -58,10 +58,25 @@ class AdditiveValuation:
 
 @dataclass(frozen=True)
 class TableValuation:
-    """V given by an explicit entry for every subset, indexed by bitmask."""
+    """V given by an explicit entry for every subset, indexed by bitmask.
+
+    The table must be monotone: the exact packing solver relies on it.
+    """
 
     n: int
     by_mask: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        by_mask, n = self.by_mask, self.n
+        for mask in range(2**n):
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                if by_mask[mask] > by_mask[mask | 1 << i]:
+                    raise ValueError(
+                        "table is not monotone: "
+                        f"V({set(_set_of(mask)) or '{}'}) > V({set(_set_of(mask | 1 << i))})"
+                    )
 
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.by_mask[_mask_of(subset, self.n)]
@@ -92,16 +107,7 @@ def make_table(
     by_mask = tuple(sets[_set_of(m)] for m in range(2**n))
     if by_mask[0] != 0:
         raise ValueError(f"table is not normalized: V(empty set) = {by_mask[0]}")
-    for mask in range(2**n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            if by_mask[mask] > by_mask[mask | 1 << i]:
-                raise ValueError(
-                    "table is not monotone: "
-                    f"V({set(_set_of(mask)) or '{}'}) > V({set(_set_of(mask | 1 << i))})"
-                )
-    return TableValuation(n, by_mask)
+    return TableValuation(n, by_mask)  # checks monotonicity
 
 
 def check_class(

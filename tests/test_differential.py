@@ -1,15 +1,14 @@
 """The ranked exact solver and the per-valuation memo against slow references.
 
 ``solve_exact``, ``opt_force`` and ``forcing_gap_scan`` must return exactly
-what plain enumeration with a zero-cost pass returns, on the rank-table path
-and on the enumeration path of larger instances alike, and a mechanism's
-outcome table must not depend on whether its valuation's memo entry is warm
-(one shared object) or cold (a fresh copy per profile).
+what plain enumeration with a zero-cost pass returns, for table and additive
+oracles alike, and a mechanism's outcome table must not depend on whether its
+valuation's memo entry is warm (one shared object) or cold (a fresh copy per
+profile).
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import random
 from fractions import Fraction
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetmech import packing
-from budgetmech.domain import CostGrid, Instance, OracleClassError, enumerate_profiles
+from budgetmech.domain import CostGrid, Instance, enumerate_profiles
 from budgetmech.mechanisms import (
     make_ticket_family,
     mech_golden,
@@ -33,6 +32,7 @@ from budgetmech.packing import (
     forcing_gap_scan,
     opt_force,
     per_valuation,
+    solve_additive_dp,
     solve_exact,
 )
 from budgetmech.valuation import TableValuation, make_additive, random_subadditive
@@ -58,10 +58,19 @@ def monotone_tables(draw, max_n: int = 6) -> TableValuation:
 
 
 @st.composite
+def additive_valuations(draw, max_n: int = 6):
+    """Additive values with mixed denominators, zeros and ties."""
+    n = draw(st.integers(1, max_n))
+    return make_additive(
+        draw(st.lists(st.fractions(0, 4, max_denominator=4), min_size=n, max_size=n))
+    )
+
+
+@st.composite
 def packing_cases(draw):
     """A valuation, a family (often not downward-closed) or none, and costs
     with zero-cost agents likely."""
-    v = draw(monotone_tables())
+    v = draw(st.one_of(monotone_tables(), additive_valuations()))
     n = v.n
     family = None
     if draw(st.booleans()):
@@ -72,55 +81,46 @@ def packing_cases(draw):
     return Instance(n, v, k, costs), family
 
 
-# Solver paths by the largest agent count ranked: all test instances, or none.
-PATHS = {"ranked": packing.RANK_AGENT_CAP, "enumerated": 0}
-
-
-@contextlib.contextmanager
-def _solver_path(name: str):
-    saved = packing.RANK_AGENT_CAP
-    packing.RANK_AGENT_CAP = PATHS[name]
-    try:
-        yield
-    finally:
-        packing.RANK_AGENT_CAP = saved
-
-
-@pytest.mark.parametrize("path", sorted(PATHS))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(case=packing_cases())
-def test_solve_exact_matches_reference(path, case):
+def test_solve_exact_matches_reference(case):
     inst, family = case
-    everyone = frozenset(range(inst.n))
-    with _solver_path(path):
-        got = solve_exact(inst, family)
-    assert got == reference_best_subset(inst, family, everyone)
+    got = solve_exact(inst, family)
+    assert got == reference_best_subset(inst, family, frozenset(range(inst.n)))
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(case=packing_cases(), data=st.data())
-def test_opt_force_matches_reference(path, case, data):
+def test_opt_force_matches_reference(case, data):
     inst, family = case
     agent = data.draw(st.integers(0, inst.n - 1))
     mode = data.draw(st.sampled_from(("include", "exclude")))
     universe = _members(data.draw(st.integers(0, 2**inst.n - 1)))
-    with _solver_path(path):
-        if data.draw(st.booleans()):
-            got = opt_force(inst, family, agent, mode, universe)
-        else:
-            got, universe = opt_force(inst, family, agent, mode), frozenset(range(inst.n))
+    if data.draw(st.booleans()):
+        got = opt_force(inst, family, agent, mode, universe)
+    else:
+        got, universe = opt_force(inst, family, agent, mode), frozenset(range(inst.n))
     assert got == reference_best_subset(inst, family, universe, **{mode: agent})
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(case=packing_cases())
-def test_forcing_gap_scan_matches_reference(path, case):
+def test_forcing_gap_scan_matches_reference(case):
     inst, family = case
-    with _solver_path(path):
-        got = forcing_gap_scan(inst.valuation, family, inst.n)
+    got = forcing_gap_scan(inst.valuation, family, inst.n)
     assert got == reference_forcing_gap_scan(inst.valuation, family, inst.n)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_solve_exact_matches_dp_above_table_size(n):
+    """Past the 12-agent cap on table oracles only additive ones remain; the
+    knapsack DP is exact for them and breaks ties the same way."""
+    rng = random.Random(n)
+    v = make_additive([Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)])
+    for budget in (0, 7, 15):
+        costs = tuple(rng.randint(0, min(budget, 6)) for _ in range(n))
+        inst = Instance(n, v, budget, costs)
+        assert solve_exact(inst) == solve_additive_dp(inst)
 
 
 def _table(mech_for, valuation, family, grid, n, cold):
@@ -175,6 +175,5 @@ def test_memo_is_keyed_by_identity_not_value():
 
 
 def test_non_monotone_table_is_refused():
-    v = TableValuation(2, (Fraction(0), Fraction(3), Fraction(1), Fraction(2)))
-    with pytest.raises(OracleClassError):
-        solve_exact(Instance(2, v, 2, (1, 1)))
+    with pytest.raises(ValueError, match="not monotone"):
+        TableValuation(2, (Fraction(0), Fraction(3), Fraction(1), Fraction(2)))
